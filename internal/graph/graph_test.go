@@ -139,6 +139,81 @@ func TestDiameter(t *testing.T) {
 	}
 }
 
+// TestDiameterDisconnected pins the documented disconnected behaviour: the
+// largest diameter of any component, here the 7-cycle's 3 beside a 3-path's
+// 2 and an isolated vertex. The empty graph has diameter 0.
+func TestDiameterDisconnected(t *testing.T) {
+	if got := MustNewBuilder(0).Finalize().Diameter(); got != 0 {
+		t.Errorf("empty graph Diameter = %d, want 0", got)
+	}
+	b := MustNewBuilder(11)
+	b.MustAddEdge(0, 1, 1)
+	b.MustAddEdge(1, 2, 1)
+	for i := 0; i < 7; i++ {
+		b.MustAddEdge(4+i, 4+(i+1)%7, 1)
+	}
+	if got := b.Finalize().Diameter(); got != 3 {
+		t.Errorf("Diameter = %d, want 3", got)
+	}
+}
+
+// TestDiameterMatchesEccentricities checks Diameter and SubsetDiameter
+// against plain per-vertex BFS on random graphs, connected or not: Diameter
+// is the largest eccentricity, and a connected subset's diameter the largest
+// BFSWithin distance from any member.
+func TestDiameterMatchesEccentricities(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	s := GetScratch()
+	defer s.Release()
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(40)
+		b := MustNewBuilder(n)
+		for k := rng.Intn(2 * n); k > 0; k-- {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				b.AddEdge(u, v, 1) //nolint:errcheck // duplicates are skipped
+			}
+		}
+		g := b.Finalize()
+		want := 0
+		for v := 0; v < n; v++ {
+			want = max(want, g.Eccentricity(v))
+		}
+		if got := g.Diameter(); got != want {
+			t.Fatalf("trial %d: Diameter = %d, max eccentricity %d", trial, got, want)
+		}
+
+		var set []NodeID
+		in := make([]bool, n)
+		for v := 0; v < n; v++ {
+			if rng.Intn(2) == 0 {
+				set = append(set, v)
+				in[v] = true
+			}
+		}
+		want = Unreached
+		if len(set) > 0 {
+			want = 0
+			for _, src := range set {
+				dist := g.BFSWithin(src, func(v NodeID) bool { return in[v] })
+				for _, v := range set {
+					if dist[v] == Unreached {
+						want = Unreached
+					}
+				}
+				if want == Unreached {
+					break
+				}
+				for _, d := range dist {
+					want = max(want, d)
+				}
+			}
+		}
+		if got := g.SubsetDiameterScratch(s, set); got != want {
+			t.Fatalf("trial %d: SubsetDiameter(%v) = %d, want %d", trial, set, got, want)
+		}
+	}
+}
+
 func TestSubsetDiameter(t *testing.T) {
 	// 0-1-2-3-4 path; subset {0,1,4} is disconnected inside the subset.
 	g := path(t, 5)

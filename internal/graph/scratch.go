@@ -3,8 +3,9 @@ package graph
 import "sync"
 
 // Scratch is a bundle of reusable traversal buffers — a distance array, a BFS
-// queue and an epoch-stamped visited/membership array — sized to the largest
-// graph it has served. Threading one Scratch through repeated traversals makes
+// queue, an epoch-stamped visited/membership array, and the local CSR and
+// DiameterScratch of the diameter queries — sized to the largest graph it
+// has served. Threading one Scratch through repeated traversals makes
 // them allocation-free in the steady state.
 //
 // Ownership contract: acquire with GetScratch (or NewScratch), pass it down
@@ -18,6 +19,9 @@ type Scratch struct {
 	queue []int32
 	mark  []int32
 	epoch int32
+
+	off, to []int32 // SubsetDiameterScratch's local CSR
+	diam    DiameterScratch
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}

@@ -173,18 +173,25 @@ func (g *Graph) Eccentricity(src NodeID) int {
 	return g.EccentricityScratch(s, src)
 }
 
-// Diameter returns the exact hop diameter of a connected graph by running a
-// BFS from every vertex. It is O(n·m); use ApproxDiameter for large graphs.
-// For a disconnected graph it returns the largest component-internal
-// eccentricity observed.
+// Diameter returns the exact hop diameter of g (see CSRDiameter for the
+// search, which typically costs a handful of BFS sweeps rather than one per
+// vertex). For a disconnected graph it returns the largest diameter of any
+// component; the empty graph has diameter 0.
 func (g *Graph) Diameter() int {
 	s := GetScratch()
 	defer s.Release()
+	s.ensure(g.NumNodes())
+	s.nextEpoch()
 	diam := 0
 	for v := 0; v < g.NumNodes(); v++ {
-		if e := g.EccentricityScratch(s, v); e > diam {
-			diam = e
+		if s.mark[v] == s.epoch {
+			continue
 		}
+		d, size := s.diam.component(g.arcOffsets, g.arcTo, int32(v))
+		for _, x := range s.diam.order[:size] {
+			s.mark[x] = s.epoch
+		}
+		diam = max(diam, d)
 	}
 	return diam
 }
@@ -215,48 +222,33 @@ func (g *Graph) SubsetDiameter(set []NodeID) int {
 }
 
 // SubsetDiameterScratch is SubsetDiameter reusing s's buffers: membership is
-// epoch-stamped, and distance entries are un-set via the queue after each
-// source's sweep, so the whole computation performs no per-source allocation.
+// epoch-stamped, the induced subgraph is laid out as a local CSR in s, and
+// CSRDiameter runs on it, so steady-state calls are allocation-free.
 func (g *Graph) SubsetDiameterScratch(s *Scratch, set []NodeID) int {
 	if len(set) == 0 {
 		return Unreached
 	}
 	s.ensure(g.NumNodes())
 	s.nextEpoch()
-	members := 0 // unique members; the input may repeat vertices
+	// s.queue lists the members in first-seen order (the input may repeat
+	// vertices) and s.dist maps each member to its local index.
 	for _, v := range set {
 		if s.mark[v] != s.epoch {
 			s.mark[v] = s.epoch
-			members++
+			s.dist[v] = int32(len(s.queue))
+			s.queue = append(s.queue, int32(v))
 		}
 	}
-	s.resetDist()
-	diam := int32(0)
-	for _, src := range set {
-		// Invariant: every dist entry is Unreached here.
-		s.queue = append(s.queue[:0], int32(src))
-		s.dist[src] = 0
-		for head := 0; head < len(s.queue); head++ {
-			v := NodeID(s.queue[head])
-			if s.dist[v] > diam {
-				diam = s.dist[v]
-			}
-			d := s.dist[v] + 1
-			lo, hi := g.arcOffsets[v], g.arcOffsets[v+1]
-			for _, w := range g.arcTo[lo:hi] {
-				if s.mark[w] == s.epoch && s.dist[w] == Unreached {
-					s.dist[w] = d
-					s.queue = append(s.queue, w)
-				}
+	s.off = append(s.off[:0], 0)
+	s.to = s.to[:0]
+	for _, v := range s.queue {
+		lo, hi := g.arcOffsets[v], g.arcOffsets[v+1]
+		for _, w := range g.arcTo[lo:hi] {
+			if s.mark[w] == s.epoch {
+				s.to = append(s.to, s.dist[w])
 			}
 		}
-		reached := len(s.queue)
-		for _, v := range s.queue {
-			s.dist[v] = Unreached
-		}
-		if reached != members {
-			return Unreached
-		}
+		s.off = append(s.off, int32(len(s.to)))
 	}
-	return int(diam)
+	return CSRDiameter(s.off, s.to, &s.diam)
 }

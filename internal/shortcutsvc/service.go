@@ -37,9 +37,10 @@ type Config struct {
 	// retains its sealed shortcut, so memory scales with entry count times
 	// instance size.
 	CacheEntries int
-	// MaxNodes rejects graphs larger than this (default 1<<17); shortcut
-	// construction is fast, but the quality measures seal computes are
-	// superlinear in part size.
+	// MaxNodes rejects graphs larger than this (default 1<<17). The exact
+	// part diameters seal computes take a few BFS sweeps per part on typical
+	// inputs but up to one per vertex of a cycle-like part, so the cap
+	// bounds a cold query's worst case.
 	MaxNodes int
 	// ConstructWorkers is the per-construction parallelism forwarded to
 	// FindConfig.Workers (default 1: under concurrent load, parallelism
