@@ -192,7 +192,11 @@ func writeBenchJSON(path string, short bool, filter string) error {
 		return err
 	}
 	for _, m := range rep.Results {
-		fmt.Fprintf(os.Stderr, "%-22s %-10s %12d ns/op %8d allocs/op\n", m.Scenario, m.Engine, m.NsPerOp, m.AllocsPerOp)
+		fmt.Fprintf(os.Stderr, "%-22s %-10s %12d ns/op %8d allocs/op", m.Scenario, m.Engine, m.NsPerOp, m.AllocsPerOp)
+		if m.WakeupsPerRound > 0 {
+			fmt.Fprintf(os.Stderr, " %10.1f wakeups/round %6.3f awake", m.WakeupsPerRound, m.AwakeFrac)
+		}
+		fmt.Fprintln(os.Stderr)
 	}
 	fmt.Fprintf(os.Stderr, "experiments: wrote %s\n", path)
 	return nil

@@ -39,7 +39,12 @@ func AggregatePhase(ctx congest.Net, info *Info, local int64, combine func(a, b 
 			ctx.SendArc(ka, aggDownMsg{v: result})
 		}
 	}
-	for k := 0; k <= 2*h+2; k++ {
+	// Round offsets from entry: report is this node's convergecast slot,
+	// end the aligned exit. Between them a node acts only on mail, so it
+	// sleeps in Await until mail or its next slot.
+	start := ctx.Round()
+	report, end := h-info.Depth, 2*h+2
+	for k := 0; ; k = ctx.Round() - start {
 		if k > 0 {
 			if info.ParentArc != -1 {
 				if p, ok := ctx.InboxArc(info.ParentArc); ok {
@@ -64,7 +69,7 @@ func AggregatePhase(ctx congest.Net, info *Info, local int64, combine func(a, b 
 				acc = combine(acc, msg.v)
 			}
 		}
-		if k == h-info.Depth {
+		if k == report {
 			if childReports != len(info.Children) {
 				return 0, fmt.Errorf("bfsproto: node %d aggregate: %d of %d child reports",
 					ctx.ID(), childReports, len(info.Children))
@@ -76,9 +81,14 @@ func AggregatePhase(ctx congest.Net, info *Info, local int64, combine func(a, b 
 				deliver()
 			}
 		}
-		if k < 2*h+2 {
-			ctx.Step()
+		if k == end {
+			break
 		}
+		next := end
+		if k < report {
+			next = report
+		}
+		ctx.Await(start + next)
 	}
 	if !haveResult {
 		return 0, fmt.Errorf("bfsproto: node %d finished aggregate without a result", ctx.ID())

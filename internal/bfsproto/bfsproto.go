@@ -14,6 +14,7 @@ package bfsproto
 
 import (
 	"fmt"
+	"math"
 
 	"lcshortcut/internal/congest"
 	"lcshortcut/internal/graph"
@@ -88,8 +89,14 @@ func Phase(ctx congest.Net, root graph.NodeID, seed int64) (*Info, error) {
 		ctx.SendAll(offerMsg{depth: 0, n: n})
 	}
 	for done == nil {
+		// A node acts only on mail, except for an echo deferred by its
+		// adoption (or a lone root's): it sleeps until mail otherwise.
+		wait := math.MaxInt
+		if adopted && !echoSent && resolved == ctx.Degree() && childEcho == len(info.Children) {
+			wait = ctx.Round() + 1
+		}
 		acceptArc := -1
-		for _, m := range ctx.StepRound() {
+		for _, m := range ctx.Await(wait) {
 			switch msg := m.Payload.(type) {
 			case offerMsg:
 				resolved++

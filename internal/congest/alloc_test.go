@@ -212,3 +212,39 @@ func TestAllocGuardTokenRing(t *testing.T) {
 		t.Errorf("token ring steady state allocates %.3f allocs/round, want 0", per)
 	}
 }
+
+// awaitRingProc is a token ring on the sleeping path: the holder passes the
+// token on and every node Awaits it with a deadline one to seven rounds out,
+// so rounds mix mail wakeups, deadline wakeups and deadline-heap churn.
+func awaitRingProc(n int) func(rounds int) congest.Proc {
+	return func(rounds int) congest.Proc {
+		return func(ctx *congest.Ctx) error {
+			next := ctx.ArcIndex((ctx.ID() + 1) % n)
+			have := ctx.ID() == 0
+			for ctx.Round() < rounds {
+				if have {
+					ctx.SendArc(next, pulse{})
+					have = false
+				}
+				have = len(ctx.Await(min(rounds, ctx.Round()+1+ctx.ID()%7))) > 0
+			}
+			return nil
+		}
+	}
+}
+
+// TestAllocGuardAwait pins the sleeping path's steady state: wake lists,
+// the deadline heap and the leader's mailbox scans of new sleepers are all
+// pooled, so a token ring whose holders Await must allocate nothing per
+// round.
+func TestAllocGuardAwait(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates per round; the guard runs in the non-race engine-bench job")
+	}
+	prev := congest.SetEngine(congest.EngineEventLoop)
+	defer congest.SetEngine(prev)
+	const n = 64
+	if per := perRoundAllocs(t, gen.Ring(n), congest.Options{Seed: 3}, awaitRingProc(n)); per > 0.02 {
+		t.Errorf("await token ring steady state allocates %.3f allocs/round, want 0", per)
+	}
+}

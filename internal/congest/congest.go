@@ -27,11 +27,18 @@
 // number), so nothing is ever cleared between rounds. Two stamp/payload
 // arenas alternate by round parity so round-r readers never share an array
 // with round-r+1 writers. The round barrier is a single atomic countdown
-// with per-node parking: the last node to arrive becomes the round leader,
-// retires the round inline (round count, watchdog, cost accounting) and
-// unparks the survivors — there is no coordinator goroutine. Engine state
-// (runState) is pooled across runs, so a harness performing thousands of
-// simulations reuses one arena.
+// over the awake nodes only, with per-node parking: the last node to arrive
+// becomes the round leader and retires the round inline (round count,
+// watchdog, cost accounting) — there is no coordinator goroutine. A node
+// that calls Ctx.Await or Ctx.Idle leaves the countdown and sleeps until its
+// deadline or, under Await, until mail reaches it: each send to a sleeping
+// receiver is noted on the sender's own wake list, and the leader walks the
+// arrivers' lists and a deadline heap to decide which nodes to unpark for the
+// next round. When every live node sleeps and no mail is pending, the leader
+// jumps the clock straight to the earliest deadline, still counting every
+// skipped round. A sparse protocol round therefore costs time per awake
+// node, not per live node. Engine state (runState) is pooled across runs, so
+// a harness performing thousands of simulations reuses one arena.
 package congest
 
 import (
@@ -214,8 +221,13 @@ func RunOn(e Engine, g *graph.Graph, proc Proc, opts Options) (Stats, error) {
 }
 
 // Barrier arrival kinds published by a node before it joins the countdown.
+// arriveAwait and arriveIdle end the round like arriveStep and then put the
+// node to sleep (event-loop engine only): until Ctx.wakeAt or, for
+// arriveAwait, until mail arrives.
 const (
 	arriveStep int32 = iota + 1
+	arriveAwait
+	arriveIdle
 	arriveDone
 	arriveFail
 )
@@ -241,7 +253,12 @@ type Ctx struct {
 	// lo is the global CSR index of this node's first arc: arc k of this node
 	// is global arc lo+k, and mailbox slot lo+k holds the message arriving
 	// from neighbor k.
-	lo     int32
+	lo int32
+	// nWakes is the length of this node's wake list: the receivers of this
+	// round's undropped sends that sleep in Await, kept in the run's wake
+	// arena at [lo, lo+nWakes) for the leader to wake (event-loop engine).
+	// At most one send per arc per round bounds it by the degree.
+	nWakes int32
 	round  int
 	idBits int
 	model  Model
@@ -255,11 +272,19 @@ type Ctx struct {
 	rejoinAt    int32
 	incarnation int32
 
-	// Barrier state (event-loop engine).
+	// Barrier state (event-loop engine). sleep is the leader-owned sleep
+	// mode: arriveAwait or arriveIdle while the node sleeps, 0 while it is
+	// awake; senders read it, only round leaders write it. wakeAt is the
+	// deadline round a sleeping arrival publishes, and heapIdx the node's
+	// position in the run's deadline heap. The int32 fields sit in what
+	// would otherwise be alignment padding.
 	arrival int32
+	sleep   int32
 	err     error
 	park    chan struct{}
 	inbox   []Message
+	wakeAt  int32
+	heapIdx int32
 
 	// Send accounting since the last delivery barrier; the round leader
 	// flushes these into the run totals exactly when the channel engine's
@@ -382,11 +407,23 @@ func (c *Ctx) SendArc(k int, p Payload) {
 	// inbox (the drop mask hides the slot from both read paths).
 	if rs.dropThresh != 0 && dropped(rs.dropThresh, rs.faultSeed, stamp, s) {
 		rs.dropMask[buf][s] = stamp
+	} else if len(rs.heap) != 0 {
+		c.noteWake(c.arcs[k].To)
 	}
 	c.pMsgs++
 	c.pBits += int64(b)
 	if b > c.pMax {
 		c.pMax = b
+	}
+}
+
+// noteWake records receiver `to` on this sender's wake list if it sleeps on
+// mail. The sender writes only its own list, and a receiver's sleep mode
+// changes only at retire, so senders never race each other or the leader.
+func (c *Ctx) noteWake(to graph.NodeID) {
+	if rs := c.run; rs.nodes[to].sleep == arriveAwait {
+		rs.wakeArena[c.lo+c.nWakes] = int32(to)
+		c.nWakes++
 	}
 }
 
@@ -432,6 +469,13 @@ func (c *Ctx) SendAll(p Payload) {
 		pay[s] = p
 		if thresh != 0 && dropped(thresh, rs.faultSeed, stamp, s) {
 			rs.dropMask[buf][s] = stamp
+		}
+	}
+	if len(rs.heap) != 0 {
+		for i, s := range rs.rev[c.lo : c.lo+int32(deg)] {
+			if thresh == 0 || rs.dropMask[buf][s] != stamp {
+				c.noteWake(c.arcs[i].To)
+			}
 		}
 	}
 	c.pMsgs += int64(deg)
@@ -532,12 +576,89 @@ func (c *Ctx) InboxArc(k int) (Payload, bool) {
 	return c.run.pay[buf][s], true
 }
 
+// Await is the blocking receive: it ends the node's current round and
+// returns at the first round r <= until whose inbox, exactly as StepRound
+// would return it, is non-empty — or at round until with an empty inbox. It
+// always ends at least one round, so Await(Round()+1) is StepRound. A
+// dropped message does not wake the node, and a scheduled crash still takes
+// effect at its exact round. The result is what repeated StepRound calls
+// would produce (see AwaitByStepping, the reference), but on the event-loop
+// engine the node sleeps outside the round barrier in between, so a protocol
+// whose nodes Await in every round without a scheduled send or action pays
+// per awake node, not per live node. InboxArc reads the returned round's
+// slots as after any barrier.
+func (c *Ctx) Await(until int) []Message {
+	if c.model != ModelCongest {
+		c.fail(fmt.Errorf("%w: node %d called Await under ModelRadio in round %d (use Step + RadioRecv)", ErrModelViolation, c.id, c.round))
+	}
+	if c.run == nil {
+		return AwaitByStepping(c, until)
+	}
+	for {
+		c.maybeCrash()
+		if !c.sleepUntil(until, arriveAwait) {
+			c.stepBarrier()
+		}
+		if in := c.gather(); len(in) > 0 || c.round >= until {
+			return in
+		}
+	}
+}
+
+// AwaitByStepping is the stepping reference of Await over any barrier:
+// StepRound until a round delivers mail or the round clock reaches until.
+// The channel and sharded engines and wrappers such as reliable.Ctx
+// implement Await with it, and tests use it as the oracle for the
+// event-loop engine's sleeping implementation.
+func AwaitByStepping(n interface {
+	StepRound() []Message
+	Round() int
+}, until int) []Message {
+	for {
+		if in := n.StepRound(); len(in) > 0 || n.Round() >= until {
+			return in
+		}
+	}
+}
+
 // Idle advances the node through k barriers, discarding anything received.
 // Use it only where the protocol guarantees no meaningful traffic arrives.
+// On the event-loop engine the node sleeps through the k rounds and mail
+// does not wake it: Idle(k) parks the goroutine once, until its deadline.
 func (c *Ctx) Idle(k int) {
-	for i := 0; i < k; i++ {
-		c.Step()
+	if c.run == nil {
+		for i := 0; i < k; i++ {
+			c.Step()
+		}
+		return
 	}
+	end := c.round + k
+	for c.round < end {
+		c.maybeCrash()
+		if !c.sleepUntil(end, arriveIdle) {
+			c.stepBarrier()
+		}
+	}
+}
+
+// sleepUntil ends the current round as a sleeping arrival of the given kind
+// and returns once the leader wakes the node, with its round clock set. The
+// deadline is until, pulled in to the round of the node's next scheduled
+// crash so maybeCrash runs exactly where stepping would run it. It reports
+// false, without arriving, when the deadline is the very next round: the
+// caller steps instead, so every sleeper's deadline lies past the round its
+// sleep begins in.
+func (c *Ctx) sleepUntil(until int, kind int32) bool {
+	deadline := int64(until)
+	if int32(c.round)+1 < c.crashAt {
+		deadline = min(deadline, int64(c.crashAt)-1)
+	}
+	if deadline <= int64(c.round)+1 {
+		return false
+	}
+	c.wakeAt = int32(min(deadline, noCrash))
+	c.arrive(kind)
+	return true
 }
 
 // stepBarrier joins the countdown barrier as a stepping node and advances
@@ -593,9 +714,9 @@ func (c *Ctx) fail(err error) {
 
 // arrive publishes this node's barrier arrival and joins the countdown. The
 // last arriver leads the round (classification, accounting, watchdog, wake).
-// Stepping nodes return once released into the next round; done/fail
-// arrivals return immediately after their (possible) leadership duty, since
-// their goroutine is exiting.
+// Stepping and sleeping nodes return once released into a later round;
+// done/fail arrivals return immediately after their (possible) leadership
+// duty, since their goroutine is exiting.
 func (c *Ctx) arrive(kind int32) {
 	c.arrival = kind
 	if c.sh != nil {
@@ -604,19 +725,28 @@ func (c *Ctx) arrive(kind int32) {
 	}
 	rs := c.run
 	if rs.pending.Add(-1) == 0 {
-		rs.lead(c)
-	} else if kind == arriveStep {
-		<-c.park
-	} else {
+		switch rs.lead(c) {
+		case leadResume:
+			return
+		case leadAbort:
+			if kind < arriveDone {
+				panic(errAbort)
+			}
+			return
+		}
+	}
+	if kind >= arriveDone {
 		return
 	}
-	if kind == arriveStep && rs.aborted {
+	<-c.park
+	if rs.aborted {
 		panic(errAbort)
 	}
 }
 
 // runState is the pooled per-run engine state: the mailbox arenas, the node
-// table, the live set and the barrier countdown.
+// table, the awake set, the sleepers' deadline heap and the barrier
+// countdown.
 type runState struct {
 	g    *graph.Graph
 	opts Options
@@ -652,9 +782,18 @@ type runState struct {
 	dropThresh uint64
 	faultSeed  int64
 	adversary  Adversary
-	// live lists the nodes still running, ascending; rebuilt in place by the
-	// round leader.
-	live    []int32
+	// awake lists the nodes in the current round's countdown, in no
+	// particular order; rebuilt in place by the round leader.
+	awake []int32
+	// woken is the leader's scratch list of sleepers woken by mail, and
+	// wakeArena backs every node's wake list (see Ctx.nWakes), laid out
+	// like the CSR arc arrays.
+	woken     []int32
+	wakeArena []int32
+	// heap is the min-heap of sleeping nodes keyed by Ctx.wakeAt; a node's
+	// position is Ctx.heapIdx. Its length is the sleeper count, which
+	// senders test before noting wakeups.
+	heap    []int32
 	pending atomic.Int32
 	aborted bool
 	err     error
@@ -663,68 +802,249 @@ type runState struct {
 	msgs    int64
 	bitsSum int64
 	maxBits int
+	// wakeups counts node resumptions at retire (the awake set size summed
+	// over rounds), published to Wakeups at run end.
+	wakeups int64
 	wg      sync.WaitGroup
 }
 
 var runPool = sync.Pool{New: func() any { return new(runState) }}
 
-// lead retires the round: it runs on the last node to arrive at the barrier,
-// with every live node accounted for (parked steppers, exiting done/fail
-// arrivals). It classifies arrivals, aborts on failure or watchdog, flushes
-// the arrivers' send accounting when the round delivers, resets the
-// countdown and unparks the survivors.
-func (rs *runState) lead(leader *Ctx) {
-	arrived := rs.live
+// totalWakeups accumulates runState.wakeups over finished event-loop runs.
+var totalWakeups atomic.Int64
+
+// Wakeups returns the number of node resumptions at round barriers summed
+// over every event-loop run this process has finished: a node counts once
+// per round it is awake in after the first. Without sleeping nodes it is
+// the live node count summed over rounds; Await and Idle lower it. Callers
+// diff it around a run to measure the awake fraction.
+func Wakeups() int64 { return totalWakeups.Load() }
+
+// What the round leader does next, returned by lead.
+const (
+	leadResume = iota // run on into the next round
+	leadPark          // sleep (or exit) until woken
+	leadAbort         // the run aborted
+)
+
+// lead retires the round: it runs on the last awake node to arrive at the
+// barrier, with every awake node accounted for (parked steppers and
+// sleepers, exiting done/fail arrivals) while sleeping nodes stay parked. It
+// classifies arrivals, aborts on failure or watchdog, flushes the arrivers'
+// send accounting when the round delivers, and builds the next awake set:
+// the steppers, every sleeper with mail (new sleepers by a scan of their
+// slots, old ones from the arrivers' wake lists) and every sleeper whose
+// deadline is the new round. If that set is empty the clock jumps to the
+// earliest deadline. It then resets the countdown and unparks the awake set.
+func (rs *runState) lead(leader *Ctx) int {
+	arrived := rs.awake
 	var err error
-	steppers := 0
+	errID := int32(-1)
+	live := len(rs.heap)
 	for _, id := range arrived {
-		nd := &rs.nodes[id]
-		switch nd.arrival {
-		case arriveStep:
-			steppers++
+		switch nd := &rs.nodes[id]; nd.arrival {
 		case arriveFail:
-			if err == nil {
-				err = nd.err
+			// The lowest failing node ID wins, whatever the arrival order.
+			if err == nil || id < errID {
+				err, errID = nd.err, id
 			}
+		case arriveDone:
+		default:
+			live++
 		}
 	}
-	if err == nil && steppers > 0 {
+	if err == nil && live > 0 {
 		rs.rounds++
 		if rs.rounds > rs.opts.MaxRounds {
 			err = fmt.Errorf("%w (%d)", ErrMaxRounds, rs.opts.MaxRounds)
 		}
 	}
-	deliver := err == nil && steppers > 0
+	if err != nil {
+		rs.abort(err, leader)
+		for _, id := range arrived {
+			nd := &rs.nodes[id]
+			nd.nWakes = 0
+			if nd.arrival < arriveDone && nd != leader {
+				nd.park <- struct{}{}
+			}
+		}
+		return leadAbort
+	}
+	if live == 0 {
+		return leadPark // every node finished: the run ends undelivered
+	}
+	stamp := int32(rs.rounds)
+	woken := rs.woken[:0]
 	w := 0
 	for _, id := range arrived {
 		nd := &rs.nodes[id]
-		if deliver {
-			// Matches the channel engine's delivery pass: sends buffered by
-			// this barrier are counted even if the sender has finished, and
-			// not counted at all when the run aborts or ends this barrier.
-			rs.msgs += nd.pMsgs
-			rs.bitsSum += nd.pBits
-			if nd.pMax > rs.maxBits {
-				rs.maxBits = nd.pMax
+		// Matches the channel engine's delivery pass: sends buffered by
+		// this barrier are counted even if the sender has finished, and
+		// not counted at all when the run aborts or ends this barrier.
+		rs.msgs += nd.pMsgs
+		rs.bitsSum += nd.pBits
+		if nd.pMax > rs.maxBits {
+			rs.maxBits = nd.pMax
+		}
+		nd.pMsgs, nd.pBits, nd.pMax = 0, 0, 0
+		// Old sleepers this node sent to. A wake list never names a node
+		// put to sleep below: its sleep mode was 0 while the round ran.
+		if nd.nWakes != 0 {
+			for _, to := range rs.wakeArena[nd.lo : nd.lo+nd.nWakes] {
+				if r := &rs.nodes[to]; r.sleep == arriveAwait {
+					woken = rs.wake(woken, r)
+				}
 			}
-			nd.pMsgs, nd.pBits, nd.pMax = 0, 0, 0
+			nd.nWakes = 0
 		}
-		if nd.arrival == arriveStep {
-			rs.live[w] = id
+		switch nd.arrival {
+		case arriveStep:
+			arrived[w] = id
 			w++
+		case arriveAwait:
+			if rs.hasMail(nd, stamp) {
+				nd.round = rs.rounds
+				arrived[w] = id
+				w++
+				continue
+			}
+			fallthrough
+		case arriveIdle:
+			nd.sleep = nd.arrival
+			rs.push(id)
 		}
 	}
-	rs.live = rs.live[:w]
-	if err != nil {
-		rs.err = err
-		rs.aborted = true
-	} else {
-		rs.pending.Store(int32(w))
+	rs.woken = woken
+	awake := append(arrived[:w], woken...)
+	if len(awake) == 0 && len(rs.heap) > 0 {
+		// Every live node sleeps and no mail is pending: skip to the
+		// earliest deadline, counting the skipped rounds. A deadline past
+		// the watchdog ends the run exactly where stepping would.
+		next := int(rs.nodes[rs.heap[0]].wakeAt)
+		if next > rs.opts.MaxRounds {
+			rs.rounds = rs.opts.MaxRounds + 1
+			rs.abort(fmt.Errorf("%w (%d)", ErrMaxRounds, rs.opts.MaxRounds), leader)
+			return leadAbort
+		}
+		rs.rounds = next
 	}
-	for _, id := range rs.live {
+	for len(rs.heap) > 0 && int(rs.nodes[rs.heap[0]].wakeAt) == rs.rounds {
+		awake = rs.wake(awake, &rs.nodes[rs.heap[0]])
+	}
+	rs.awake = awake
+	rs.pending.Store(int32(len(awake)))
+	rs.wakeups += int64(len(awake))
+	next := leadPark
+	for _, id := range awake {
+		if nd := &rs.nodes[id]; nd != leader {
+			nd.park <- struct{}{}
+		} else {
+			next = leadResume
+		}
+	}
+	return next
+}
+
+// abort ends the run with err: every sleeper is unparked to unwind (the
+// caller unparks awake arrivers, after this has set aborted).
+func (rs *runState) abort(err error, leader *Ctx) {
+	rs.err = err
+	rs.aborted = true
+	for _, id := range rs.heap {
 		if nd := &rs.nodes[id]; nd != leader {
 			nd.park <- struct{}{}
 		}
+	}
+}
+
+// hasMail reports whether nd's inbox for round stamp is non-empty: any slot
+// stamped for that round and not dropped.
+func (rs *runState) hasMail(nd *Ctx, stamp int32) bool {
+	st := rs.stamp[stamp&1]
+	lo, hi := nd.lo, nd.lo+int32(len(nd.arcs))
+	if rs.dropThresh != 0 {
+		dm := rs.dropMask[stamp&1]
+		for s := lo; s < hi; s++ {
+			if st[s] == stamp && dm[s] != stamp {
+				return true
+			}
+		}
+		return false
+	}
+	for s := lo; s < hi; s++ {
+		if st[s] == stamp {
+			return true
+		}
+	}
+	return false
+}
+
+// wake moves sleeping node nd into the awake set at the current round.
+func (rs *runState) wake(awake []int32, nd *Ctx) []int32 {
+	rs.remove(nd.heapIdx)
+	nd.sleep = 0
+	nd.round = rs.rounds
+	return append(awake, int32(nd.id))
+}
+
+// push adds node id to the deadline heap.
+func (rs *runState) push(id int32) {
+	rs.heap = append(rs.heap, id)
+	rs.nodes[id].heapIdx = int32(len(rs.heap) - 1)
+	rs.siftUp(len(rs.heap) - 1)
+}
+
+// remove deletes the heap entry at position i.
+func (rs *runState) remove(i int32) {
+	last := len(rs.heap) - 1
+	if int(i) != last {
+		rs.swap(int(i), last)
+	}
+	rs.heap = rs.heap[:last]
+	if int(i) < last {
+		rs.siftDown(int(i))
+		rs.siftUp(int(i))
+	}
+}
+
+func (rs *runState) heapLess(i, j int) bool {
+	return rs.nodes[rs.heap[i]].wakeAt < rs.nodes[rs.heap[j]].wakeAt
+}
+
+func (rs *runState) swap(i, j int) {
+	h := rs.heap
+	h[i], h[j] = h[j], h[i]
+	rs.nodes[h[i]].heapIdx = int32(i)
+	rs.nodes[h[j]].heapIdx = int32(j)
+}
+
+func (rs *runState) siftUp(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !rs.heapLess(i, p) {
+			return
+		}
+		rs.swap(i, p)
+		i = p
+	}
+}
+
+func (rs *runState) siftDown(i int) {
+	n := len(rs.heap)
+	for {
+		l := 2*i + 1
+		if l >= n {
+			return
+		}
+		m := l
+		if r := l + 1; r < n && rs.heapLess(r, l) {
+			m = r
+		}
+		if !rs.heapLess(m, i) {
+			return
+		}
+		rs.swap(i, m)
+		i = m
 	}
 }
 
@@ -744,6 +1064,7 @@ func runEventLoop(g *graph.Graph, proc Proc, opts Options) (Stats, error) {
 		go nodeMain(&rs.nodes[v], proc)
 	}
 	rs.wg.Wait()
+	totalWakeups.Add(rs.wakeups)
 	stats := Stats{Rounds: rs.rounds, Messages: rs.msgs, TotalBits: rs.bitsSum, MaxMessageBits: rs.maxBits}
 	err := rs.err
 	releaseRun(rs)
@@ -827,7 +1148,9 @@ func downUntilRejoin(c *Ctx) (ok bool) {
 		}
 	}()
 	for int32(c.round) < c.rejoinAt {
-		c.stepBarrier()
+		if c.run == nil || !c.sleepUntil(int(c.rejoinAt), arriveIdle) {
+			c.stepBarrier()
+		}
 	}
 	return true
 }
@@ -896,7 +1219,10 @@ func acquireRun(g *graph.Graph, opts Options) *runState {
 		copy(nodes, rs.nodes)
 		rs.nodes = nodes
 	}
-	rs.live = growInt32(rs.live, n)
+	rs.awake = growInt32(rs.awake, n)
+	rs.heap = growInt32(rs.heap, n)[:0]
+	rs.woken = growInt32(rs.woken, n)[:0]
+	rs.wakeArena = growInt32(rs.wakeArena, numArcs)
 	idBits := BitsForID(n)
 	for v := 0; v < n; v++ {
 		nd := &rs.nodes[v]
@@ -918,6 +1244,8 @@ func acquireRun(g *graph.Graph, opts Options) *runState {
 		nd.arrival = 0
 		nd.err = nil
 		nd.inbox = nd.inbox[:0]
+		nd.sleep = 0
+		nd.nWakes = 0
 		nd.pMsgs, nd.pBits, nd.pMax = 0, 0, 0
 		seed := mix(opts.Seed, int64(v))
 		if nd.rngSrc == nil {
@@ -929,7 +1257,7 @@ func acquireRun(g *graph.Graph, opts Options) *runState {
 		if nd.park == nil {
 			nd.park = make(chan struct{}, 1)
 		}
-		rs.live[v] = int32(v)
+		rs.awake[v] = int32(v)
 	}
 	if plan != nil {
 		for _, cr := range plan.Crashes {
@@ -944,7 +1272,7 @@ func acquireRun(g *graph.Graph, opts Options) *runState {
 	rs.pending.Store(int32(n))
 	rs.aborted = false
 	rs.err = nil
-	rs.rounds, rs.msgs, rs.bitsSum, rs.maxBits = 0, 0, 0, 0
+	rs.rounds, rs.msgs, rs.bitsSum, rs.maxBits, rs.wakeups = 0, 0, 0, 0, 0
 	return rs
 }
 

@@ -39,6 +39,7 @@ type Net interface {
 	StepRound() []Message
 	Step()
 	InboxArc(k int) (Payload, bool)
+	Await(until int) []Message
 	Idle(k int)
 }
 

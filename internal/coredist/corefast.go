@@ -133,7 +133,10 @@ func routeUp(
 	var inbox []congest.Message
 	for {
 		// Routing chunk: each round, forward the smallest unforwarded ID.
-		for r := 0; r < chunk; r++ {
+		// Only mail adds IDs, so a node with none left sleeps until mail or
+		// the chunk's end.
+		start := ctx.Round()
+		for ctx.Round() < start+chunk {
 			if err := process(inbox); err != nil {
 				return nil, err
 			}
@@ -141,7 +144,11 @@ func routeUp(
 				ctx.SendArc(info.ParentArc, routeMsg{part: unforwarded[0], n: n})
 				unforwarded = unforwarded[1:]
 			}
-			inbox = ctx.StepRound()
+			next := start + chunk
+			if ns.ParentUsable && len(unforwarded) > 0 {
+				next = ctx.Round() + 1
+			}
+			inbox = ctx.Await(next)
 		}
 		// Completion check: OR-convergecast of pending status, then a
 		// broadcast of the continue/stop decision; everyone stays aligned.
@@ -193,7 +200,11 @@ func completionCheck(
 	childReports := 0
 	decision := false
 	haveDecision := info.Parent == -1 && len(info.Children) == 0 // trivial tree
-	for k := 0; k <= 2*h+2; k++ {
+	// As in bfsproto.AggregatePhase: act on mail and in the report slot,
+	// sleep in Await otherwise.
+	start := ctx.Round()
+	report, end := h-info.Depth, 2*h+2
+	for k := 0; ; k = ctx.Round() - start {
 		var stray []congest.Message
 		for _, m := range inbox {
 			switch msg := m.Payload.(type) {
@@ -213,7 +224,7 @@ func completionCheck(
 		if err := process(stray); err != nil {
 			return false, nil, err
 		}
-		if k == h-info.Depth {
+		if k == report {
 			if childReports != len(info.Children) {
 				return false, nil, fmt.Errorf("coredist: node %d check round: %d of %d child reports",
 					ctx.ID(), childReports, len(info.Children))
@@ -229,11 +240,15 @@ func completionCheck(
 				}
 			}
 		}
-		if k < 2*h+2 {
-			inbox = ctx.StepRound()
-		} else {
+		if k == end {
 			inbox = nil
+			break
 		}
+		next := end
+		if k < report {
+			next = report
+		}
+		inbox = ctx.Await(start + next)
 	}
 	if !haveDecision {
 		return false, nil, fmt.Errorf("coredist: node %d finished check without a decision", ctx.ID())

@@ -48,7 +48,10 @@ func upwardPass(
 		termSent bool
 		inbox    []congest.Message
 	)
-	for r := 0; r <= total; r++ {
+	// Round offsets from entry: a node acts on mail and from its phase
+	// start until its terminator is out, and sleeps in Await otherwise.
+	start, mine := ctx.Round(), myPhase*phaseLen
+	for r := 0; ; r = ctx.Round() - start {
 		for _, m := range inbox {
 			k := ns.ChildIndex(m.From)
 			if k < 0 {
@@ -67,7 +70,7 @@ func upwardPass(
 				return nil, fmt.Errorf("coredist: unexpected payload %T in upward pass", m.Payload)
 			}
 		}
-		if r == myPhase*phaseLen {
+		if r == mine {
 			// All children transmitted in earlier phases; compute L_v.
 			pending = gatherLocal(ns, assign, ctx.ID(), skipOwnPart, activeOnly)
 			if overLimit(len(pending)) {
@@ -77,7 +80,7 @@ func upwardPass(
 				ns.ParentParts = pending
 			}
 		}
-		if r >= myPhase*phaseLen && info.Parent != -1 && !termSent {
+		if r >= mine && info.Parent != -1 && !termSent {
 			switch {
 			case unusable:
 				ctx.SendArc(info.ParentArc, termMsg{usable: false})
@@ -90,9 +93,17 @@ func upwardPass(
 				termSent = true
 			}
 		}
-		if r < total {
-			inbox = ctx.StepRound()
+		if r == total {
+			break
 		}
+		next := total
+		switch {
+		case r < mine:
+			next = mine
+		case info.Parent != -1 && !termSent:
+			next = r + 1
+		}
+		inbox = ctx.Await(start + next)
 	}
 	return ns, nil
 }

@@ -17,9 +17,11 @@
 //     run across every graph family (meshes, expanders, scale-free hubs,
 //     communities, surfaces) since degree profile dominates this cost.
 //   - sparse token ring — one token circulates a large ring: almost no
-//     traffic, isolating per-round engine overhead (the channel engine paid
+//     traffic, isolating per-round engine overhead (the channel engine pays
 //     an O(n) inbox-clear sweep and a sort per barrier here regardless of
-//     traffic; the arena engine pays O(degree) per stepping node).
+//     traffic; the sharded engine pays O(degree) per stepping node; the
+//     event-loop engine wakes only the token holder, its nodes waiting in
+//     Ctx.Await).
 //   - BFS opening — the real bfsproto phase every composite protocol starts
 //     with, on the two largest families (grid at 65536, er-sparse at 50000).
 //   - min-cut packing — the full internal/mincut protocol (two packed MSTs
@@ -121,19 +123,19 @@ func BroadcastProc(rounds int) congest.Proc {
 
 // TokenRingProc circulates a single token around an n-ring for `rounds`
 // rounds — the sparse-traffic protocol: exactly one message is in flight per
-// round while every node still steps every barrier.
+// round. Nodes wait for the token in Await, so on the event-loop engine only
+// the holder is awake in a round; the stepping engines still step every node
+// every barrier, with the same Stats.
 func TokenRingProc(n, rounds int) congest.Proc {
 	return func(ctx *congest.Ctx) error {
 		next := ctx.ArcIndex((ctx.ID() + 1) % n)
 		have := ctx.ID() == 0
-		for r := 0; r < rounds; r++ {
+		for ctx.Round() < rounds {
 			if have {
 				ctx.SendArc(next, beat{})
 				have = false
 			}
-			if len(ctx.StepRound()) > 0 {
-				have = true
-			}
+			have = len(ctx.Await(rounds)) > 0
 		}
 		return nil
 	}
@@ -451,14 +453,22 @@ func EngineName(e congest.Engine) string {
 }
 
 // Measurement is one (scenario, engine) timing.
+//
+// WakeupsPerRound and AwakeFrac are the event-loop engine's barrier load
+// (see congest.Wakeups): node resumptions per simulated round, and that
+// count over the node count — 1 when every node runs every round, lower
+// when nodes sleep in Await or Idle. The other engines step every live node
+// and leave both zero (omitted).
 type Measurement struct {
-	Scenario    string `json:"scenario"`
-	Engine      string `json:"engine"`
-	Iters       int    `json:"iters"`
-	NsPerOp     int64  `json:"ns_per_op"`
-	AllocsPerOp int64  `json:"allocs_per_op"`
-	SimRounds   int    `json:"sim_rounds"`
-	SimMessages int64  `json:"sim_messages"`
+	Scenario        string  `json:"scenario"`
+	Engine          string  `json:"engine"`
+	Iters           int     `json:"iters"`
+	NsPerOp         int64   `json:"ns_per_op"`
+	AllocsPerOp     int64   `json:"allocs_per_op"`
+	SimRounds       int     `json:"sim_rounds"`
+	SimMessages     int64   `json:"sim_messages"`
+	WakeupsPerRound float64 `json:"wakeups_per_round,omitempty"`
+	AwakeFrac       float64 `json:"awake_frac,omitempty"`
 }
 
 // Report is the BENCH_engine.json document: per-engine measurements plus the
@@ -551,6 +561,7 @@ func measureRun(name, engine string, heavy bool, run func(*graph.Graph) (congest
 	var stats congest.Stats
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
+	wakeups := congest.Wakeups()
 	start := time.Now()
 	iters := 0
 	for iters < minIters || time.Since(start) < minDuration {
@@ -562,7 +573,7 @@ func measureRun(name, engine string, heavy bool, run func(*graph.Graph) (congest
 	}
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
-	return Measurement{
+	m := Measurement{
 		Scenario:    name,
 		Engine:      engine,
 		Iters:       iters,
@@ -570,5 +581,10 @@ func measureRun(name, engine string, heavy bool, run func(*graph.Graph) (congest
 		AllocsPerOp: int64(after.Mallocs-before.Mallocs) / int64(iters),
 		SimRounds:   stats.Rounds,
 		SimMessages: stats.Messages,
-	}, nil
+	}
+	if w := congest.Wakeups() - wakeups; w > 0 && stats.Rounds > 0 {
+		m.WakeupsPerRound = float64(w) / float64(iters*stats.Rounds)
+		m.AwakeFrac = m.WakeupsPerRound / float64(g.NumNodes())
+	}
+	return m, nil
 }

@@ -285,7 +285,10 @@ func agreeNoShortcut(ctx *congest.Ctx, info *bfsproto.Info, frag int, nbrFrag []
 	changedSinceSend := true
 	for {
 		changedInChunk := false
-		for r := 0; r < chunk; r++ {
+		// A node sends only after its minimum changed, which takes mail: it
+		// sleeps until mail or the chunk's end in between.
+		start := ctx.Round()
+		for ctx.Round() < start+chunk {
 			if changedSinceSend {
 				for k := range ctx.Neighbors() {
 					if nbrFrag[k] == frag {
@@ -294,7 +297,7 @@ func agreeNoShortcut(ctx *congest.Ctx, info *bfsproto.Info, frag int, nbrFrag []
 				}
 				changedSinceSend = false
 			}
-			ctx.Step()
+			ctx.Await(start + chunk)
 			for k := range ctx.Neighbors() {
 				p, ok := ctx.InboxArc(k)
 				if !ok {

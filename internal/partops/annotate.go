@@ -42,8 +42,9 @@ func (m *Membership) Annotate(ctx congest.Net) error {
 		}
 	}
 	budget := m.CastBudget()
+	start := ctx.Round()
 	var inbox []congest.Message
-	for r := 0; r <= budget; r++ {
+	for r := 0; ; r = ctx.Round() - start {
 		for _, msg := range inbox {
 			am, ok := msg.Payload.(annMsg)
 			if !ok {
@@ -76,7 +77,13 @@ func (m *Membership) Annotate(ctx congest.Net) error {
 				}
 			}
 		}
-		inbox = ctx.StepRound()
+		// Roots become known only by mail: with none queued, sleep until
+		// mail or the end of the pass.
+		next := budget
+		if m.annotationDue(pending) {
+			next = r + 1
+		}
+		inbox = ctx.Await(start + next)
 	}
 	if len(pending) > 0 {
 		return fmt.Errorf("partops: node %d: annotation unfinished after %d rounds (Lemma 2 budget violated)", ctx.ID(), budget)
@@ -87,6 +94,19 @@ func (m *Membership) Annotate(ctx congest.Net) error {
 		}
 	}
 	return nil
+}
+
+// annotationDue reports whether some child still waits for a part whose
+// root this node already knows, so the pass sends next round.
+func (m *Membership) annotationDue(pending map[graph.NodeID][]int) bool {
+	for _, parts := range pending {
+		for _, i := range parts {
+			if _, known := m.RootDepth[i]; known {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // less2 orders (rootDepth, part) pairs — the Lemma 2 routing priority.

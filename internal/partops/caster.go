@@ -77,8 +77,23 @@ func (m *Membership) Gather(ctx congest.Net, own func(part int) Value, combine f
 		acc[i] = own(i)
 		await[i] = len(m.ChildrenIn[i])
 	}
+	// ready returns the highest-priority value whose subtree is complete
+	// and that still has to go up the parent edge, or -1.
+	ready := func() int {
+		best := -1
+		for _, i := range unsent {
+			if !m.ParentIn[i] || await[i] != 0 {
+				continue
+			}
+			if best == -1 || less2(m.RootDepth[i], i, m.RootDepth[best], best) {
+				best = i
+			}
+		}
+		return best
+	}
 	budget := m.CastBudget() + extraRounds
-	for r := 0; r <= budget; r++ {
+	start := ctx.Round()
+	for r := 0; ; r = ctx.Round() - start {
 		if r > 0 {
 			// Gather traffic climbs tree edges only: read the child arcs
 			// directly instead of materializing an inbox.
@@ -99,20 +114,17 @@ func (m *Membership) Gather(ctx congest.Net, own func(part int) Value, combine f
 			break
 		}
 		// Send the highest-priority ready value up the parent edge.
-		best := -1
-		for _, i := range unsent {
-			if !m.ParentIn[i] || await[i] != 0 {
-				continue
-			}
-			if best == -1 || less2(m.RootDepth[i], i, m.RootDepth[best], best) {
-				best = i
-			}
-		}
-		if best != -1 {
+		if best := ready(); best != -1 {
 			ctx.SendArc(m.Info.ParentArc, castMsg{part: best, rootDepth: m.RootDepth[best], n: m.Info.Count, val: acc[best]})
 			unsent = removeInt(unsent, best)
 		}
-		ctx.Step()
+		// Values become ready only by mail: with none left to send, sleep
+		// until mail or the end of the cast.
+		next := budget
+		if ready() != -1 {
+			next = r + 1
+		}
+		ctx.Await(start + next)
 	}
 	results := make(map[int]Value)
 	for _, i := range m.Parts {
@@ -149,7 +161,8 @@ func (m *Membership) Scatter(ctx congest.Net, atRoot func(part int) Value, extra
 		}
 	}
 	budget := m.CastBudget() + extraRounds
-	for r := 0; r <= budget; r++ {
+	start := ctx.Round()
+	for r := 0; ; r = ctx.Round() - start {
 		if r > 0 && m.Info.ParentArc != -1 {
 			// Scatter traffic descends tree edges: only the parent arc can
 			// carry a message to this node.
@@ -181,7 +194,12 @@ func (m *Membership) Scatter(ctx congest.Net, atRoot func(part int) Value, extra
 				}
 			}
 		}
-		ctx.Step()
+		// Only mail refills an empty queue: sleep until mail or the end.
+		next := budget
+		if len(pending) > 0 {
+			next = r + 1
+		}
+		ctx.Await(start + next)
 	}
 	if len(pending) > 0 {
 		return nil, fmt.Errorf("partops: node %d: scatter unfinished (budget %d)", ctx.ID(), budget)

@@ -324,6 +324,13 @@ func (c *Ctx) InboxArc(k int) (congest.Payload, bool) {
 	return st.buf[seq&1], true
 }
 
+// Await completes logical rounds until one delivers mail or the logical
+// clock reaches until (congest.AwaitByStepping); every logical round still
+// runs the transport, so there is nothing to sleep through.
+func (c *Ctx) Await(until int) []congest.Message {
+	return congest.AwaitByStepping(c, until)
+}
+
 // Idle advances the node through k logical barriers, discarding receipts.
 func (c *Ctx) Idle(k int) {
 	for i := 0; i < k; i++ {

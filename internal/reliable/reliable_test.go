@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"lcshortcut/internal/bfsproto"
 	"lcshortcut/internal/congest"
 	"lcshortcut/internal/elect"
 	"lcshortcut/internal/gen"
@@ -336,4 +337,44 @@ func FuzzReliableTransport(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestAwaitOverLossyLinks: reliable.Ctx.Await is the stepping reference on
+// logical rounds, so the Await-based BFS phase and tree aggregate return over
+// a lossy network exactly what they return on the raw fault-free engine —
+// trees, sums and the logical round every node leaves at.
+func TestAwaitOverLossyLinks(t *testing.T) {
+	g := gen.Grid(6, 6)
+	type result struct {
+		parent, depth, round int
+		sum                  int64
+	}
+	phases := func(net congest.Net, out []result) error {
+		info, err := bfsproto.Phase(net, 0, 5)
+		if err != nil {
+			return err
+		}
+		sum, err := bfsproto.SumPhase(net, info, int64(net.ID()))
+		if err != nil {
+			return err
+		}
+		out[net.ID()] = result{info.Parent, info.Depth, net.Round(), sum}
+		return nil
+	}
+	raw := make([]result, g.NumNodes())
+	if _, err := congest.Run(g, func(ctx *congest.Ctx) error { return phases(ctx, raw) }, congest.Options{Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	lossy := make([]result, g.NumNodes())
+	_, rs, err := reliable.Run(g, func(ctx *reliable.Ctx) error { return phases(ctx, lossy) }, reliable.Config{},
+		congest.Options{Seed: 3, Faults: &congest.FaultPlan{DropProb: 0.2, Seed: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Retransmits == 0 {
+		t.Fatal("no retransmits: the plan did not exercise the lossy path")
+	}
+	if fmt.Sprint(lossy) != fmt.Sprint(raw) {
+		t.Errorf("over lossy links %v, raw %v", lossy, raw)
+	}
 }
