@@ -243,10 +243,14 @@ type Ctx struct {
 	sh  *shardedRun // sharded engine state (nil under the other engines)
 	// shard is the worker shard owning this node (sharded engine only).
 	shard *shard
-	rng   *rand.Rand
-	// rngSrc is rng's seedable source, kept so pooled Ctxs reseed instead of
-	// reallocating the generator.
-	rngSrc rand.Source
+	// rng is the node's random source, allocated on first use and reseeded,
+	// not reallocated, by pooled Ctxs (rand.Rand.Seed also clears its Read
+	// buffer, so nothing carries over from a previous run). It takes rngSeed
+	// on the first Rand call after run setup or a restart (rngArmed set):
+	// seeding fills a 607-word table, which setup would do serially for
+	// every node, and most protocols never draw.
+	rng     *rand.Rand
+	rngSeed int64
 	// arcs is the node's adjacency materialized once from the graph's CSR
 	// arrays at run setup (a sub-slice of the run's shared arc arena).
 	arcs []graph.Arc
@@ -280,11 +284,13 @@ type Ctx struct {
 	// would otherwise be alignment padding.
 	arrival int32
 	sleep   int32
-	err     error
-	park    chan struct{}
-	inbox   []Message
-	wakeAt  int32
-	heapIdx int32
+	// rngArmed reports that rng has yet to take rngSeed.
+	rngArmed bool
+	err      error
+	park     chan struct{}
+	inbox    []Message
+	wakeAt   int32
+	heapIdx  int32
 
 	// Send accounting since the last delivery barrier; the round leader
 	// flushes these into the run totals exactly when the channel engine's
@@ -330,7 +336,22 @@ func (c *Ctx) ArcIndex(to graph.NodeID) int {
 }
 
 // Rand returns the node-local deterministic random source.
-func (c *Ctx) Rand() *rand.Rand { return c.rng }
+func (c *Ctx) Rand() *rand.Rand {
+	if c.rngArmed {
+		c.rngArmed = false
+		if c.rng == nil {
+			c.rng = rand.New(rand.NewSource(c.rngSeed))
+		} else {
+			c.rng.Seed(c.rngSeed)
+		}
+	}
+	return c.rng
+}
+
+// armRand makes seed the random source's seed from the next Rand call on.
+func (c *Ctx) armRand(seed int64) {
+	c.rngSeed, c.rngArmed = seed, true
+}
 
 // Incarnation reports how many times this node has crash-recovered: 0 for
 // the original execution, k for the Proc's k-th restart. A Proc seeing a
@@ -1171,7 +1192,7 @@ func (c *Ctx) restart() {
 	default:
 		seed = c.run.opts.Seed
 	}
-	c.rngSrc.Seed(mix(mix(seed, int64(c.id)), int64(c.incarnation)))
+	c.armRand(mix(mix(seed, int64(c.id)), int64(c.incarnation)))
 }
 
 // acquireRun takes a runState from the pool and sizes/resets it for g. All
@@ -1247,13 +1268,7 @@ func acquireRun(g *graph.Graph, opts Options) *runState {
 		nd.sleep = 0
 		nd.nWakes = 0
 		nd.pMsgs, nd.pBits, nd.pMax = 0, 0, 0
-		seed := mix(opts.Seed, int64(v))
-		if nd.rngSrc == nil {
-			nd.rngSrc = rand.NewSource(seed)
-			nd.rng = rand.New(nd.rngSrc)
-		} else {
-			nd.rngSrc.Seed(seed)
-		}
+		nd.armRand(mix(opts.Seed, int64(v)))
 		if nd.park == nil {
 			nd.park = make(chan struct{}, 1)
 		}

@@ -3,7 +3,6 @@ package congest
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"lcshortcut/internal/graph"
@@ -151,12 +150,9 @@ func runChannel(g *graph.Graph, proc Proc, opts Options) (Stats, error) {
 	}
 	idBits := BitsForID(n)
 	for v := 0; v < n; v++ {
-		src := rand.NewSource(mix(opts.Seed, int64(v)))
 		rs.nodes[v] = &Ctx{
 			id:       v,
 			g:        g,
-			rng:      rand.New(src),
-			rngSrc:   src,
 			arcs:     g.AppendArcs(make([]graph.Arc, 0, g.Degree(v)), v),
 			idBits:   idBits,
 			model:    opts.Model,
@@ -169,6 +165,7 @@ func runChannel(g *graph.Graph, proc Proc, opts Options) (Stats, error) {
 				sentAt: make([]int, g.Degree(v)),
 			},
 		}
+		rs.nodes[v].armRand(mix(opts.Seed, int64(v)))
 	}
 	if plan != nil {
 		for _, cr := range plan.Crashes {

@@ -3,7 +3,6 @@ package congest
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -672,13 +671,7 @@ func acquireSharded(g *graph.Graph, opts Options, p int) *shardedRun {
 			nd.err = nil
 			nd.inbox = nd.inbox[:0]
 			nd.pMsgs, nd.pBits, nd.pMax = 0, 0, 0
-			seed := mix(opts.Seed, int64(v))
-			if nd.rngSrc == nil {
-				nd.rngSrc = rand.NewSource(seed)
-				nd.rng = rand.New(nd.rngSrc)
-			} else {
-				nd.rngSrc.Seed(seed)
-			}
+			nd.armRand(mix(opts.Seed, int64(v)))
 			if nd.park == nil {
 				nd.park = make(chan struct{}, 1)
 			}

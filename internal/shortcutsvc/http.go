@@ -3,6 +3,7 @@ package shortcutsvc
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 )
 
@@ -77,14 +78,12 @@ func (s *Service) handleShortcut(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST a shortcut request", http.StatusMethodNotAllowed)
 		return
 	}
-	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
 		http.Error(w, "malformed request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	ent, outcome, err := s.Query(&req)
+	ent, outcome, err := s.Query(req)
 	if err != nil {
 		switch {
 		case IsTooLarge(err):
@@ -102,6 +101,18 @@ func (s *Service) handleShortcut(w http.ResponseWriter, r *http.Request) {
 		// Client went away mid-write; nothing to do.
 		_ = err
 	}
+}
+
+// decodeRequest reads one request body, rejecting fields Request does not
+// have.
+func decodeRequest(body io.Reader) (*Request, error) {
+	var req Request
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return nil, err
+	}
+	return &req, nil
 }
 
 func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -1,8 +1,11 @@
 package shortcutsvc
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"lcshortcut/internal/graph"
 	"lcshortcut/internal/partition"
@@ -20,12 +23,131 @@ type Request struct {
 	Seed   int64  `json:"seed,omitempty"`
 
 	Nodes int      `json:"nodes,omitempty"`
-	Edges [][2]int `json:"edges,omitempty"`
+	Edges EdgeList `json:"edges,omitempty"`
 
 	Partition PartitionSpec `json:"partition"`
 
 	C int `json:"c,omitempty"`
 	B int `json:"b,omitempty"`
+}
+
+// EdgeList is an uploaded graph's edges, one [u, v] pair per edge. It
+// decodes like [][2]int under encoding/json, only faster: see UnmarshalJSON.
+type EdgeList [][2]int
+
+// UnmarshalJSON parses the canonical form [[u,v],...] (any whitespace,
+// integers of at most 18 digits on 64-bit platforms) in one pass into a
+// slice sized from the input. Every other shape — null, inner arrays of
+// another length, fractions, exponents, longer integers, non-numbers — is
+// handed to encoding/json as a plain [][2]int, so what is accepted, what is
+// rejected and the decoded values are exactly encoding/json's.
+func (e *EdgeList) UnmarshalJSON(data []byte) error {
+	if edges, ok := parseEdgeList(data); ok {
+		*e = edges
+		return nil
+	}
+	return json.Unmarshal(data, (*[][2]int)(e))
+}
+
+// parseEdgeList parses data if it is a canonical edge list, reporting
+// ok=false at the first byte outside that form.
+func parseEdgeList(data []byte) (EdgeList, bool) {
+	p := edgeParser{data: data}
+	if !p.expect('[') {
+		return nil, false
+	}
+	// A canonical list of m pairs holds exactly m+1 closing brackets.
+	edges := make(EdgeList, 0, max(bytes.Count(data, []byte{']'})-1, 0))
+	if p.expect(']') {
+		return edges, p.end()
+	}
+	for {
+		var e [2]int
+		var ok bool
+		if !p.expect('[') {
+			return nil, false
+		}
+		if e[0], ok = p.integer(); !ok || !p.expect(',') {
+			return nil, false
+		}
+		if e[1], ok = p.integer(); !ok || !p.expect(']') {
+			return nil, false
+		}
+		edges = append(edges, e)
+		if p.expect(']') {
+			return edges, p.end()
+		}
+		if !p.expect(',') {
+			return nil, false
+		}
+	}
+}
+
+// edgeParser is parseEdgeList's cursor over the input.
+type edgeParser struct {
+	data []byte
+	i    int
+}
+
+func (p *edgeParser) skipSpace() {
+	for p.i < len(p.data) {
+		switch p.data[p.i] {
+		case ' ', '\t', '\n', '\r':
+			p.i++
+		default:
+			return
+		}
+	}
+}
+
+// expect consumes c after optional whitespace, reporting whether it was
+// there.
+func (p *edgeParser) expect(c byte) bool {
+	p.skipSpace()
+	if p.i < len(p.data) && p.data[p.i] == c {
+		p.i++
+		return true
+	}
+	return false
+}
+
+// end reports whether only whitespace is left.
+func (p *edgeParser) end() bool {
+	p.skipSpace()
+	return p.i == len(p.data)
+}
+
+// maxEdgeDigits is the longest integer the fast path parses: 18 digits
+// cannot overflow a 64-bit int, 9 cannot overflow a 32-bit one.
+const maxEdgeDigits = 9 + 9*(strconv.IntSize/64)
+
+// integer consumes a JSON integer of at most maxEdgeDigits digits after
+// optional whitespace. A leading zero before more digits or a longer integer
+// fails; a fraction or an exponent fails at the caller, which expects a
+// delimiter after the digits.
+func (p *edgeParser) integer() (int, bool) {
+	p.skipSpace()
+	neg := p.i < len(p.data) && p.data[p.i] == '-'
+	if neg {
+		p.i++
+	}
+	start := p.i
+	v := 0
+	for p.i < len(p.data) && p.data[p.i] >= '0' && p.data[p.i] <= '9' {
+		v = v*10 + int(p.data[p.i]-'0')
+		p.i++
+	}
+	digits := p.i - start
+	switch {
+	case digits == 0 || digits > maxEdgeDigits:
+		return 0, false
+	case digits > 1 && p.data[start] == '0':
+		return 0, false
+	}
+	if neg {
+		v = -v
+	}
+	return v, true
 }
 
 // PartitionSpec names a partition: "voronoi" (Parts seeds BFS-Voronoi cells
@@ -154,16 +276,18 @@ func (r *Request) build(cfg Config) (*graph.Graph, *partition.Partition, error) 
 			return nil, nil, badRequestf("%v", err)
 		}
 	} else {
-		b, err := graph.NewBuilder(r.Nodes)
+		// The streamed build lays out the same CSR as a Builder fed the same
+		// edges, so fingerprints agree, but checks duplicates with a stamp
+		// scan instead of a per-edge map.
+		var err error
+		g, err = graph.BuildStreamed(r.Nodes, func(emit func(u, v graph.NodeID, w int64)) {
+			for _, e := range r.Edges {
+				emit(e[0], e[1], 1)
+			}
+		})
 		if err != nil {
 			return nil, nil, badRequestf("invalid uploaded graph: %v", err)
 		}
-		for _, e := range r.Edges {
-			if _, err := b.AddEdge(e[0], e[1], 1); err != nil {
-				return nil, nil, badRequestf("invalid uploaded edge (%d,%d): %v", e[0], e[1], err)
-			}
-		}
-		g = b.Finalize()
 	}
 	if !g.Connected() {
 		return nil, nil, badRequestf("graph is disconnected; shortcut construction needs a connected graph")

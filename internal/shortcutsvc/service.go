@@ -97,7 +97,18 @@ type entry struct {
 	key      cacheKey
 	shortcut *core.Shortcut
 	result   Result
+	// refs are the registry references pointing at this entry in
+	// Service.refs, oldest first, at most maxRefsPerEntry of them; eviction
+	// deletes them. Guarded by Service.mu.
+	refs []refKey
 }
+
+// maxRefsPerEntry bounds how many registry references one entry keeps in
+// the ref index. Seed-insensitive families name one structure by any seed,
+// so without it a client cycling seeds on a hot entry would grow the index
+// forever; with it the index holds at most maxRefsPerEntry × CacheEntries
+// references.
+const maxRefsPerEntry = 4
 
 // Result is the computed payload of one construction, independent of how
 // the request named its inputs.
@@ -146,7 +157,7 @@ type Service struct {
 	mu     sync.Mutex
 	items  map[cacheKey]*list.Element // -> *entry, in lruList
 	lru    *list.List                 // front = most recent
-	refs   map[refKey]cacheKey
+	refs   map[refKey]cacheKey        // registry reference -> content key; see entry.refs
 	flight map[cacheKey]*call
 
 	sem chan struct{} // construction slots
@@ -209,6 +220,7 @@ func (s *Service) cacheGet(key cacheKey) *entry {
 func (s *Service) cachePut(ent *entry) {
 	if el, ok := s.items[ent.key]; ok {
 		s.lru.MoveToFront(el)
+		ent.refs = el.Value.(*entry).refs
 		el.Value = ent
 		return
 	}
@@ -218,8 +230,31 @@ func (s *Service) cachePut(ent *entry) {
 		victim := s.lru.Remove(tail).(*entry)
 		delete(s.items, victim.key)
 		s.evictions.Add(1)
-		// Drop ref-cache pointers at the stale key lazily: a ref lookup
-		// whose content key misses the cache falls through to the slow path.
+		for _, rk := range victim.refs {
+			s.dropRef(rk, victim.key)
+		}
+	}
+}
+
+// noteRef points the registry reference rk at ent in the ref index. Caller
+// must hold s.mu.
+func (s *Service) noteRef(rk refKey, ent *entry) {
+	if key, ok := s.refs[rk]; ok && key == ent.key {
+		return
+	}
+	if len(ent.refs) == maxRefsPerEntry {
+		s.dropRef(ent.refs[0], ent.key)
+		ent.refs = append(ent.refs[:0], ent.refs[1:]...)
+	}
+	s.refs[rk] = ent.key
+	ent.refs = append(ent.refs, rk)
+}
+
+// dropRef deletes rk from the ref index if it still points at key. Caller
+// must hold s.mu.
+func (s *Service) dropRef(rk refKey, key cacheKey) {
+	if s.refs[rk] == key {
+		delete(s.refs, rk)
 	}
 }
 
@@ -272,7 +307,7 @@ func (s *Service) query(req *Request) (*entry, Outcome, error) {
 	s.mu.Lock()
 	if ent := s.cacheGet(key); ent != nil {
 		if hasRef {
-			s.refs[rk] = key
+			s.noteRef(rk, ent)
 		}
 		s.mu.Unlock()
 		s.hits.Add(1)
@@ -297,7 +332,7 @@ func (s *Service) query(req *Request) (*entry, Outcome, error) {
 	if c.err == nil {
 		s.cachePut(c.ent)
 		if hasRef {
-			s.refs[rk] = key
+			s.noteRef(rk, c.ent)
 		}
 	}
 	s.mu.Unlock()

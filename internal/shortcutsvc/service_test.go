@@ -28,6 +28,136 @@ func postJSON(t *testing.T, url string, body string) (*http.Response, string) {
 	return resp, string(data)
 }
 
+// handlerCases are TestHandlerTable's rows, run in order against one
+// service; FuzzRequest seeds its corpus with their bodies.
+var handlerCases = []struct {
+	name       string
+	body       string
+	wantStatus int
+	wantCache  string // expected X-Cache header, "" = don't check
+}{
+	{
+		name:       "miss-then-hit-setup",
+		body:       `{"family":"grid","n":64,"seed":1,"partition":{"kind":"voronoi","parts":4,"seed":1}}`,
+		wantStatus: http.StatusOK,
+		wantCache:  "miss",
+	},
+	{
+		name:       "identical-query-hits",
+		body:       `{"family":"grid","n":64,"seed":1,"partition":{"kind":"voronoi","parts":4,"seed":1}}`,
+		wantStatus: http.StatusOK,
+		wantCache:  "hit",
+	},
+	{
+		name:       "bad-family",
+		body:       `{"family":"nonesuch","n":64,"seed":1,"partition":{"kind":"whole"}}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "oversized-n",
+		body:       `{"family":"grid","n":100000,"seed":1,"partition":{"kind":"whole"}}`,
+		wantStatus: http.StatusRequestEntityTooLarge,
+	},
+	{
+		name:       "no-graph",
+		body:       `{"partition":{"kind":"whole"}}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "both-graphs",
+		body:       `{"family":"grid","n":64,"nodes":4,"edges":[[0,1]],"partition":{"kind":"whole"}}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "missing-partition-kind",
+		body:       `{"family":"grid","n":64,"seed":1,"partition":{}}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "unknown-partition-kind",
+		body:       `{"family":"grid","n":64,"seed":1,"partition":{"kind":"stripes"}}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "voronoi-zero-parts",
+		body:       `{"family":"grid","n":64,"seed":1,"partition":{"kind":"voronoi"}}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "assign-wrong-length",
+		body:       `{"family":"grid","n":64,"seed":1,"partition":{"kind":"assign","assign":[0,1]}}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "assign-sparse-part-indices",
+		body:       `{"nodes":4,"edges":[[0,1],[1,2],[2,3]],"partition":{"kind":"assign","assign":[0,0,2,2]}}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "mismatched-c-b",
+		body:       `{"family":"grid","n":64,"seed":1,"partition":{"kind":"whole"},"c":4}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "malformed-json",
+		body:       `{"family":"grid",`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "unknown-field",
+		body:       `{"family":"grid","n":64,"seed":1,"partition":{"kind":"whole"},"bogus":true}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "upload-ok",
+		body:       `{"nodes":4,"edges":[[0,1],[1,2],[2,3],[3,0]],"partition":{"kind":"whole"}}`,
+		wantStatus: http.StatusOK,
+		wantCache:  "miss",
+	},
+	{
+		name:       "upload-disconnected",
+		body:       `{"nodes":4,"edges":[[0,1],[2,3]],"partition":{"kind":"whole"}}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "upload-self-loop",
+		body:       `{"nodes":3,"edges":[[0,0],[1,2]],"partition":{"kind":"whole"}}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "upload-duplicate-edge",
+		body:       `{"nodes":3,"edges":[[0,1],[1,2],[1,0]],"partition":{"kind":"whole"}}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "upload-out-of-range",
+		body:       `{"nodes":3,"edges":[[0,1],[1,3]],"partition":{"kind":"whole"}}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "upload-negative-endpoint",
+		body:       `{"nodes":3,"edges":[[0,1],[-1,2]],"partition":{"kind":"whole"}}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "upload-fraction",
+		body:       `{"nodes":3,"edges":[[0,1],[1.5,2]],"partition":{"kind":"whole"}}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "upload-spaced-hits",
+		body:       "{\"nodes\":4,\"edges\": [ [0 ,1],\n[1,\t2] , [ 2,3 ],[3,0] ] ,\"partition\":{\"kind\":\"whole\"}}",
+		wantStatus: http.StatusOK,
+		wantCache:  "hit",
+	},
+	{
+		name:       "explicit-params-ok",
+		body:       `{"family":"ring","n":32,"seed":2,"partition":{"kind":"voronoi","parts":4,"seed":2},"c":8,"b":4}`,
+		wantStatus: http.StatusOK,
+		wantCache:  "miss",
+	},
+}
+
 // TestHandlerTable drives /shortcut through the error and success paths:
 // bad family, oversized n, malformed partition specs, malformed JSON, wrong
 // method, uploaded graphs good and bad, and the cache hit/miss headers.
@@ -36,108 +166,7 @@ func TestHandlerTable(t *testing.T) {
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
-	cases := []struct {
-		name       string
-		body       string
-		wantStatus int
-		wantCache  string // expected X-Cache header, "" = don't check
-	}{
-		{
-			name:       "miss-then-hit-setup",
-			body:       `{"family":"grid","n":64,"seed":1,"partition":{"kind":"voronoi","parts":4,"seed":1}}`,
-			wantStatus: http.StatusOK,
-			wantCache:  "miss",
-		},
-		{
-			name:       "identical-query-hits",
-			body:       `{"family":"grid","n":64,"seed":1,"partition":{"kind":"voronoi","parts":4,"seed":1}}`,
-			wantStatus: http.StatusOK,
-			wantCache:  "hit",
-		},
-		{
-			name:       "bad-family",
-			body:       `{"family":"nonesuch","n":64,"seed":1,"partition":{"kind":"whole"}}`,
-			wantStatus: http.StatusBadRequest,
-		},
-		{
-			name:       "oversized-n",
-			body:       `{"family":"grid","n":100000,"seed":1,"partition":{"kind":"whole"}}`,
-			wantStatus: http.StatusRequestEntityTooLarge,
-		},
-		{
-			name:       "no-graph",
-			body:       `{"partition":{"kind":"whole"}}`,
-			wantStatus: http.StatusBadRequest,
-		},
-		{
-			name:       "both-graphs",
-			body:       `{"family":"grid","n":64,"nodes":4,"edges":[[0,1]],"partition":{"kind":"whole"}}`,
-			wantStatus: http.StatusBadRequest,
-		},
-		{
-			name:       "missing-partition-kind",
-			body:       `{"family":"grid","n":64,"seed":1,"partition":{}}`,
-			wantStatus: http.StatusBadRequest,
-		},
-		{
-			name:       "unknown-partition-kind",
-			body:       `{"family":"grid","n":64,"seed":1,"partition":{"kind":"stripes"}}`,
-			wantStatus: http.StatusBadRequest,
-		},
-		{
-			name:       "voronoi-zero-parts",
-			body:       `{"family":"grid","n":64,"seed":1,"partition":{"kind":"voronoi"}}`,
-			wantStatus: http.StatusBadRequest,
-		},
-		{
-			name:       "assign-wrong-length",
-			body:       `{"family":"grid","n":64,"seed":1,"partition":{"kind":"assign","assign":[0,1]}}`,
-			wantStatus: http.StatusBadRequest,
-		},
-		{
-			name:       "assign-sparse-part-indices",
-			body:       `{"nodes":4,"edges":[[0,1],[1,2],[2,3]],"partition":{"kind":"assign","assign":[0,0,2,2]}}`,
-			wantStatus: http.StatusBadRequest,
-		},
-		{
-			name:       "mismatched-c-b",
-			body:       `{"family":"grid","n":64,"seed":1,"partition":{"kind":"whole"},"c":4}`,
-			wantStatus: http.StatusBadRequest,
-		},
-		{
-			name:       "malformed-json",
-			body:       `{"family":"grid",`,
-			wantStatus: http.StatusBadRequest,
-		},
-		{
-			name:       "unknown-field",
-			body:       `{"family":"grid","n":64,"seed":1,"partition":{"kind":"whole"},"bogus":true}`,
-			wantStatus: http.StatusBadRequest,
-		},
-		{
-			name:       "upload-ok",
-			body:       `{"nodes":4,"edges":[[0,1],[1,2],[2,3],[3,0]],"partition":{"kind":"whole"}}`,
-			wantStatus: http.StatusOK,
-			wantCache:  "miss",
-		},
-		{
-			name:       "upload-disconnected",
-			body:       `{"nodes":4,"edges":[[0,1],[2,3]],"partition":{"kind":"whole"}}`,
-			wantStatus: http.StatusBadRequest,
-		},
-		{
-			name:       "upload-self-loop",
-			body:       `{"nodes":3,"edges":[[0,0],[1,2]],"partition":{"kind":"whole"}}`,
-			wantStatus: http.StatusBadRequest,
-		},
-		{
-			name:       "explicit-params-ok",
-			body:       `{"family":"ring","n":32,"seed":2,"partition":{"kind":"voronoi","parts":4,"seed":2},"c":8,"b":4}`,
-			wantStatus: http.StatusOK,
-			wantCache:  "miss",
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range handlerCases {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, body := postJSON(t, ts.URL+"/shortcut", tc.body)
 			if resp.StatusCode != tc.wantStatus {
